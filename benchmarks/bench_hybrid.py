@@ -11,7 +11,7 @@ machinery (``repro.hybrid.build_engine``):
 * **fluid**  -- pure max-min flow simulation,
 * **hybrid** -- fluid bulk + a packet-level region of interest,
 * **packet** -- the pure packet-fidelity baseline: the *same*
-  netsim-channel frame pipeline the hybrid zoom uses, with every flow
+  packet-region frame pipeline the hybrid zoom uses, with every flow
   promoted.  Measuring the speedup against the same frame machinery
   keeps the comparison honest -- the hybrid gain is exactly "how much
   traffic stayed fluid", not an artifact of two unrelated simulators.

@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netsim.events import EventLoop
 from ..netsim.network import Network
-from ..topology.graph import HostAttachment, PortRef, Topology
+from ..topology.graph import HostAttachment, PortRef, Topology, TopologyError
 from .discovery import (
+    DiscoveryError,
     DiscoveryResult,
     ProbeSpec,
     discover,
@@ -116,6 +117,9 @@ class Controller(HostAgent):
         self.shard_service: Optional[ShardedPathService] = None
         #: Pending link-up reprobe sessions.
         self._reprobes: Dict[Tuple[str, int], "_ReprobeSession"] = {}
+        #: Ports whose reprobe ran out of retries with no route in the
+        #: view; re-armed when the view next learns a link.
+        self._parked_reprobes: Dict[Tuple[str, int], None] = {}
         #: In-flight incremental rediscovery drivers (unknown-switch
         #: escalations); drained by the event loop, tracked for tests.
         self._rediscoveries: Set[AsyncProbeDriver] = set()
@@ -537,6 +541,10 @@ class Controller(HostAgent):
         except Exception:
             # No route to the probed switch right now; the view may
             # heal (another reprobe, a deferred flap alarm), so retry.
+            # Past the timed retries only a link the view learns can
+            # open a route (the port's news will not come again).
+            if attempt >= self.config.reprobe_retries:
+                self._parked_reprobes[(switch, port)] = None
             self._maybe_retry_reprobe(switch, port, attempt)
             return
         session = _ReprobeSession(
@@ -624,7 +632,21 @@ class Controller(HostAgent):
             change = TopologyChange(op="link-up", args=(switch, port, neighbor, r))
             self._log_change(change)
             self._flood_patch((change,), self.view_version)
+            self._unpark_reprobes()
         self._finalize_reprobe(switch, port, host=None, keep_link=True)
+
+    def _unpark_reprobes(self) -> None:
+        """The view learned a link: retry afresh every parked port that
+        is still unknown and now has a route; the rest stay parked."""
+        assert self.view is not None
+        for switch, port in list(self._parked_reprobes):
+            if self.view.peer(switch, port) is None:
+                try:
+                    route_tags(self.view, self.name, switch)
+                except (DiscoveryError, TopologyError):
+                    continue
+                self.loop.schedule(0.0, self._start_reprobe, switch, port)
+            del self._parked_reprobes[(switch, port)]
 
     def _finalize_reprobe(
         self, switch: str, port: int, host: Optional[str], keep_link: bool = False

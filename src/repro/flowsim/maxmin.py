@@ -23,7 +23,7 @@ raises :class:`FairnessError` instead of being silently clamped.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["max_min_rates", "FairnessError"]
 
@@ -54,95 +54,112 @@ def max_min_rates(
     for flow, demand in demands.items():
         if not demand >= 0:  # also rejects NaN
             raise FairnessError(f"negative demand for flow {flow!r}: {demand!r}")
-    rates: Dict[FlowId, float] = {}
-    # flow -> {link: crossings}; insertion order follows the route.
-    active: Dict[FlowId, Dict[LinkId, int]] = {}
-    for flow, route in flow_routes.items():
-        crossings: Dict[LinkId, int] = {}
-        for link in route:
-            if link not in capacities:
-                raise FairnessError(f"flow {flow!r} crosses unknown link {link!r}")
-            crossings[link] = crossings.get(link, 0) + 1
-        active[flow] = crossings
-
-    residual: Dict[LinkId, float] = {}
-    users: Dict[LinkId, Dict[FlowId, int]] = {}
-    weight: Dict[LinkId, int] = {}  # sum of users[link] multiplicities
-    for link, cap in capacities.items():
+    # Links and flows are numbered once and the fill runs on list
+    # indices: link ids are tuples, whose hash every dict lookup would
+    # recompute.  Link numbers follow capacity order, the bottleneck
+    # freeze order.
+    links = list(capacities)
+    link_index = {link: i for i, link in enumerate(links)}
+    flows: List[FlowId] = []
+    # Per flow: (link, crossings) in first-crossing order.
+    crossings: List[List[Tuple[int, int]]] = []
+    # Per link: its flows in route order, once per crossing.
+    users: List[List[int]] = [[] for _ in links]
+    weight = [0] * len(links)  # crossings by flows not yet frozen
+    for fi, (flow, route) in enumerate(flow_routes.items()):
+        hops = list(map(link_index.get, route))
+        if None in hops:
+            link = route[hops.index(None)]
+            raise FairnessError(f"flow {flow!r} crosses unknown link {link!r}")
+        counts = dict.fromkeys(hops, 1)
+        if len(counts) != len(hops):  # a link crossed more than once
+            counts = dict.fromkeys(hops, 0)
+            for li in hops:
+                counts[li] += 1
+        flows.append(flow)
+        crossings.append(list(counts.items()))
+        for li in hops:
+            users[li].append(fi)
+            weight[li] += 1
+    caps = list(capacities.values())
+    for link, cap in zip(links, caps):
         if cap <= 0:
             raise FairnessError(f"non-positive capacity on {link!r}")
-        residual[link] = float(cap)
-        users[link] = {}
-        weight[link] = 0
-    for flow, crossings in active.items():
-        for link, mult in crossings.items():
-            users[link][flow] = mult
-            weight[link] += mult
+    residual = [float(cap) for cap in caps]
+    # Routed links with a live user, in capacity order.
+    live = {li: None for li, total in enumerate(weight) if total}
+    active = [True] * len(flows)
+    unfrozen = len(flows)
+    # Demand-capped rows still active, in route order: the only rows
+    # the per-level capped scan has to look at.
+    capped_rows = {
+        fi: demands[flow] for fi, flow in enumerate(flows) if flow in demands
+    }
+    rates: Dict[FlowId, float] = {}
 
-    def freeze(flow: FlowId, rate: float) -> None:
-        rates[flow] = rate
-        for link, mult in active[flow].items():
-            left = residual[link] - rate * mult
+    def freeze(fi: int, rate: float) -> None:
+        nonlocal unfrozen
+        rates[flows[fi]] = rate
+        active[fi] = False
+        unfrozen -= 1
+        for li, mult in crossings[fi]:
+            left = residual[li] - rate * mult
             if left < 0.0:
                 # Fair shares divide by the same multiplicities freeze
                 # subtracts, so only rounding dust can land here.
-                if left < -1e-9 * float(capacities[link]):
+                if left < -1e-9 * float(caps[li]):
                     raise FairnessError(
-                        f"overcommitted link {link!r} by {-left!r} "
-                        f"freezing flow {flow!r} at {rate!r}"
+                        f"overcommitted link {links[li]!r} by {-left!r} "
+                        f"freezing flow {flows[fi]!r} at {rate!r}"
                     )
                 left = 0.0
-            residual[link] = left
-            del users[link][flow]
-            weight[link] -= mult
-        del active[flow]
+            residual[li] = left
+            total = weight[li] - mult
+            weight[li] = total
+            if not total:
+                del live[li]
+        capped_rows.pop(fi, None)
+
+    def still_active() -> List[int]:
+        return [fi for fi, on in enumerate(active) if on]
 
     # Flows with no capacity constraint at all freeze at their demand.
-    for flow in list(active):
-        if not active[flow]:
-            freeze(flow, float(demands.get(flow, math.inf)))
+    for fi, hops in enumerate(crossings):
+        if not hops:
+            freeze(fi, float(demands.get(flows[fi], math.inf)))
 
-    while active:
+    while unfrozen:
         # The fair increment every remaining flow could still take: a
         # flow crossing a link m times eats m units of weight there.
         bottleneck_share = math.inf
-        for link, flows_on in users.items():
-            if not flows_on:
-                continue
-            share = residual[link] / weight[link]
+        for li in live:
+            share = residual[li] / weight[li]
             if share < bottleneck_share:
                 bottleneck_share = share
         # Demand-capped flows below the share freeze first.
-        capped = [
-            flow
-            for flow in active
-            if demands.get(flow, math.inf) <= bottleneck_share + 1e-15
-        ]
+        limit = bottleneck_share + 1e-15
+        capped = [fi for fi, demand in capped_rows.items() if demand <= limit]
         if capped:
-            for flow in capped:
-                freeze(flow, float(demands[flow]))
+            for fi in capped:
+                freeze(fi, float(demands[flows[fi]]))
             continue
         if not math.isfinite(bottleneck_share):
             # No link constrains the rest (shouldn't happen: handled
             # above), freeze them at demand.
-            for flow in list(active):
-                freeze(flow, float(demands.get(flow, math.inf)))
+            for fi in still_active():
+                freeze(fi, float(demands.get(flows[fi], math.inf)))
             break
-        # Freeze every flow on a bottleneck link at the share.
+        # Freeze every flow on a bottleneck link at the share, link by
+        # link in capacity order and flow by flow in route order, so the
+        # freeze sequence is deterministic.
         froze_any = False
-        for link in list(users):
-            flows_on = users[link]
-            if not flows_on:
-                continue
-            share = residual[link] / weight[link]
-            if share <= bottleneck_share + 1e-15:
-                # Dict order = first-crossing order, so the freeze
-                # sequence is deterministic (the old set iterated in
-                # str-hash order, randomized across runs).
-                for flow in list(flows_on):
-                    freeze(flow, bottleneck_share)
-                    froze_any = True
+        for li in list(live):
+            if li in live and residual[li] / weight[li] <= limit:
+                for fi in users[li]:
+                    if active[fi]:
+                        freeze(fi, bottleneck_share)
+                        froze_any = True
         if not froze_any:  # numerical corner: freeze everything
-            for flow in list(active):
-                freeze(flow, bottleneck_share)
+            for fi in still_active():
+                freeze(fi, bottleneck_share)
     return rates

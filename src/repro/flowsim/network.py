@@ -40,6 +40,8 @@ class FlowNet:
         self._path_cache: Dict[Tuple[str, str, int], List[List[str]]] = {}
         #: Tag-walk cache: (src, path, dst) -> static link id list.
         self._route_cache: Dict[Tuple, Optional[List[LinkId]]] = {}
+        #: (src host, dst host, k) -> Yen candidates with a tag walk.
+        self._walkable: Dict[Tuple[str, str, int], List[List[str]]] = {}
         port_overrides = port_overrides or {}
         switch_overrides = switch_overrides or {}
 
@@ -129,18 +131,30 @@ class FlowNet:
     def k_paths(self, src_host: str, dst_host: str, k: int) -> List[List[str]]:
         """k shortest alive switch paths between two hosts.
 
-        The Yen enumeration is cached per switch pair (the topology
-        itself never changes, only link state); aliveness is re-checked
-        per call with a cheap hop walk.
+        The Yen enumeration is cached per switch pair and its walkable
+        candidates per host pair (the topology itself never changes,
+        only link state); while any link is down, aliveness is
+        re-checked per call with a cheap hop walk.
         """
-        src_sw = self.topology.host_port(src_host).switch
-        dst_sw = self.topology.host_port(dst_host).switch
-        key = (src_sw, dst_sw, k)
-        candidates = self._path_cache.get(key)
-        if candidates is None:
-            candidates = self.topology.k_shortest_switch_paths(src_sw, dst_sw, k * 2)
-            self._path_cache[key] = candidates
+        walkable = self._walkable.get((src_host, dst_host, k))
+        if walkable is None:
+            src_sw = self.topology.host_port(src_host).switch
+            dst_sw = self.topology.host_port(dst_host).switch
+            key = (src_sw, dst_sw, k)
+            candidates = self._path_cache.get(key)
+            if candidates is None:
+                candidates = self.topology.k_shortest_switch_paths(
+                    src_sw, dst_sw, k * 2
+                )
+                self._path_cache[key] = candidates
+            walkable = [
+                p for p in candidates
+                if self._walk(src_host, p, dst_host) is not None
+            ]
+            self._walkable[(src_host, dst_host, k)] = walkable
+        if not self._down_ports:
+            return walkable[:k]
         alive = [
-            p for p in candidates if self.path_is_alive(src_host, p, dst_host)
+            p for p in walkable if self.path_is_alive(src_host, p, dst_host)
         ]
         return alive[:k]

@@ -135,10 +135,10 @@ class EcnAwareKPathPolicy(PathPolicy):
             paths = net.k_paths(flow.src, flow.dst, self.k)
             if not paths:
                 continue
-            best = min(
-                paths, key=lambda p: self._path_util(net, flow.src, p, flow.dst)
-            )
-            best_util = self._path_util(net, flow.src, best, flow.dst)
+            # The first least-utilised path, as min(paths, key=...) picks.
+            utils = [self._path_util(net, flow.src, p, flow.dst) for p in paths]
+            best_util = min(utils)
+            best = paths[utils.index(best_util)]
             if best_util * self.headroom < current and best != flow.switch_path:
                 flow.switch_path = best
                 self.reroutes += 1

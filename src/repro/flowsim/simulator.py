@@ -170,7 +170,8 @@ class RebalancingKPathPolicy(PathPolicy):
         links = net.route_links(src, path, dst)
         if links is None:
             return math.inf
-        return max(self._load.get(link, 0) for link in links)
+        load = self._load
+        return max([load.get(link, 0) for link in links])
 
     def _recount(self, net: FlowNet, flows: Sequence[Flow]) -> None:
         self._load.clear()
@@ -206,10 +207,10 @@ class RebalancingKPathPolicy(PathPolicy):
             paths = net.k_paths(flow.src, flow.dst, self.k)
             if not paths:
                 continue
-            best = min(
-                paths, key=lambda p: self._path_load(net, flow.src, p, flow.dst)
-            )
-            best_load = self._path_load(net, flow.src, best, flow.dst)
+            # The first least-loaded path, as min(paths, key=...) picks.
+            loads = [self._path_load(net, flow.src, p, flow.dst) for p in paths]
+            best_load = min(loads)
+            best = paths[loads.index(best_load)]
             if best_load * self.headroom < current_load and best != flow.switch_path:
                 # Move the flow: update counts incrementally.
                 old_links = net.route_links(flow.src, flow.switch_path, flow.dst)
@@ -404,15 +405,22 @@ class FluidSimulator:
 
     def _recompute(self) -> None:
         active = self._active
+        net = self.net
         # Revalidate routes (failures may have killed some) and give
-        # routeless flows another chance.
+        # routeless flows another chance.  The links of a surviving
+        # route are kept for the fill below, keyed by the path object
+        # they were walked for (the rebalancer may swap it).
+        walked: Dict[int, Tuple[List[str], List]] = {}
         for flow in active:
-            if flow.switch_path is not None and not self.net.path_is_alive(
-                flow.src, flow.switch_path, flow.dst
-            ):
-                flow.switch_path = None
+            path = flow.switch_path
+            if path is not None:
+                links = net.route_links(flow.src, path, flow.dst)
+                if links is None:
+                    flow.switch_path = None
+                else:
+                    walked[flow.fid] = (path, links)
             if flow.switch_path is None:
-                flow.switch_path = self.policy.choose(self.net, flow)
+                flow.switch_path = self.policy.choose(net, flow)
                 flow.stalled = flow.switch_path is None
         self._revalidate_external()
         # Rebalancing can be throttled: with thousands of flows the
@@ -427,10 +435,15 @@ class FluidSimulator:
         routes: Dict[Hashable, Sequence] = {}
         demands: Dict[Hashable, float] = {}
         for flow in active:
-            if flow.switch_path is None:
+            path = flow.switch_path
+            if path is None:
                 flow.rate_bps = 0.0
                 continue
-            links = self.net.route_links(flow.src, flow.switch_path, flow.dst)
+            known = walked.get(flow.fid)
+            if known is not None and known[0] is path:
+                links = known[1]
+            else:
+                links = net.route_links(flow.src, path, flow.dst)
             if links is None:
                 flow.rate_bps = 0.0
                 flow.switch_path = None

@@ -9,7 +9,7 @@ explicit consistency contract:
 
 * **fluid -> packet**: after every max-min solve, the per-link sum of
   fluid-only rates becomes shaped background load on the region's
-  channels (``ChannelEnd.background_bps``), so promoted frames
+  hops (``_Hop.background_bps``), so promoted frames
   serialise into exactly the residual bandwidth the fluid traffic
   leaves behind.
 * **packet -> fluid**: each promoted flow appears in the max-min fill
@@ -111,7 +111,8 @@ class HybridEngine(FluidSimulator):
             net, latency_s=region_latency_s, mtu_bytes=mtu_bytes, window=window
         )
         self._promoted: Dict[int, _Promoted] = {}
-        self._link_loads: Dict[Tuple, float] = {}
+        #: (routes, rates) of the last max-min solve.
+        self._allocation: Tuple[Mapping, Mapping] = ({}, {})
         self.promoted_total = 0
         self.promoted_finished = 0
         self.couplings = 0
@@ -224,17 +225,17 @@ class HybridEngine(FluidSimulator):
             r.flow for r in self._promoted.values() if not r.flow.done
         ]
 
+    #: Throughput recording attributes the same live flows.
+    _recordable_flows = _rebalance_population
+
     def _post_recompute(self, routes, rates) -> None:
-        loads: Dict[Tuple, float] = {}
-        for key, links in routes.items():
-            rate = rates.get(key, 0.0)
-            if rate <= 0:
-                continue
-            for link in links:
-                loads[link] = loads.get(link, 0.0) + rate
-        self._link_loads = loads
+        # Per-link loads are only read by link_utilisation(): keep the
+        # allocation and sum it on demand.
+        self._allocation = (routes, rates)
         if not self._promoted:
             return
+        # Only links with a region hop can take a background.
+        hops = self.region.hops
         background: Dict[Tuple, float] = {}
         for key, links in routes.items():
             if type(key) is tuple:  # ("zoom", fid) rows are not background
@@ -243,7 +244,8 @@ class HybridEngine(FluidSimulator):
             if rate <= 0:
                 continue
             for link in links:
-                background[link] = background.get(link, 0.0) + rate
+                if link in hops:
+                    background[link] = background.get(link, 0.0) + rate
         self.region.set_backgrounds(background)
         for fid, record in self._promoted.items():
             record.fluid_bps = rates.get(("zoom", fid), 0.0)
@@ -251,7 +253,7 @@ class HybridEngine(FluidSimulator):
     def _coupling_bound(self) -> Optional[float]:
         if not self._promoted:
             return None
-        if self.region.loop.next_event_time() is None:
+        if self.region.next_event_time() is None:
             # Everything promoted is stalled with nothing in flight;
             # bounding the epoch would spin the clock forever.
             return None
@@ -259,7 +261,7 @@ class HybridEngine(FluidSimulator):
 
     def _couple_to(self, t: float) -> None:
         region = self.region
-        last = region.loop.now
+        last = region.now
         region.advance_to(t)
         if not self._promoted:
             return
@@ -306,20 +308,21 @@ class HybridEngine(FluidSimulator):
             self.promoted_finished += 1
             self._dirty = True
 
-    def _recordable_flows(self):
-        if not self._promoted:
-            return self._active
-        return self._active + [
-            r.flow for r in self._promoted.values() if not r.flow.done
-        ]
-
     # ------------------------------------------------------------------
 
     def link_utilisation(self) -> Dict[Tuple, float]:
         """Per-link allocated-load / capacity from the last max-min
         solve -- feed into :meth:`RegionOfInterest.hot_queues`."""
+        routes, rates = self._allocation
+        loads: Dict[Tuple, float] = {}
+        for key, links in routes.items():
+            rate = rates.get(key, 0.0)
+            if rate <= 0:
+                continue
+            for link in links:
+                loads[link] = loads.get(link, 0.0) + rate
         caps = self.net.capacities
-        return {link: load / caps[link] for link, load in self._link_loads.items()}
+        return {link: load / caps[link] for link, load in loads.items()}
 
     def report(self) -> FluidReport:
         rep = super().report()
@@ -363,7 +366,7 @@ def build_engine(
     * ``"fluid"``  -- plain :class:`FluidSimulator` (roi must be empty);
     * ``"hybrid"`` -- :class:`HybridEngine` promoting ``roi``;
     * ``"packet"`` -- :class:`HybridEngine` promoting *everything*: the
-      pure packet-fidelity baseline on the same channel machinery.
+      pure packet-fidelity baseline on the same region hop machinery.
     """
     if net is None:
         net = FlowNet(topology, link_bps=link_bps, host_bps=host_bps)

@@ -1,22 +1,25 @@
-"""Packet-level zoom region driven by the netsim event loop.
+"""Packet-level zoom region: its own FIFO hops and frame heap.
 
-The region owns one :class:`~repro.netsim.events.EventLoop` and lazily
-materialises one :class:`~repro.netsim.channel.Channel` per *directed*
-fluid link a promoted flow crosses (capacity taken straight from the
-:class:`~repro.flowsim.network.FlowNet`).  Channels are shared between
+The region lazily materialises one :class:`_Hop` per *directed* fluid
+link a promoted flow crosses (capacity taken straight from the
+:class:`~repro.flowsim.network.FlowNet`).  Hops are shared between
 promoted flows, so two promoted flows crossing the same uplink contend
 for it with real per-frame FIFO serialization -- the microbehaviour the
-fluid model cannot express.
+fluid model cannot express.  A hop does the float arithmetic of a
+zero-perturbation netsim channel; frames in flight sit on one
+``(arrival, seq, frame)`` heap that :meth:`PacketRegion.advance_to`
+drains inline, one pop per hop.  The region never fails a hop: failures
+live in the FlowNet and surface as reroutes/stalls at the next epoch.
 
 Traffic that stays fluid is projected onto the region as *shaped
-background load*: ``ChannelEnd.background_bps`` steals serialization
-bandwidth from the foreground frames (see ``netsim/channel.py``).  The
-engine refreshes the backgrounds from every max-min solve.
+background load*: a hop's ``background_bps`` steals serialization
+bandwidth from the foreground frames.  The engine refreshes the
+backgrounds from every max-min solve.
 
 A promoted flow is a :class:`ZoomFlow`: an MTU-sized frame train pushed
-through its chain of channels with a self-clocked window -- a new frame
-is injected when one reaches the final hop, keeping ``window`` frames
-in flight.  The window is sized so the pipe, not the window, is the
+through its chain of hops with a self-clocked window -- a new frame is
+injected when one clears the final hop, keeping ``window`` frames in
+flight.  The window is sized so the pipe, not the window, is the
 bottleneck (throughput then tracks the residual bandwidth of the
 bottleneck hop, which is the quantity the boundary contract feeds back
 to the fluid side).
@@ -28,28 +31,40 @@ equivalent of bits already in the pipe when the fluid model reroutes.
 
 from __future__ import annotations
 
+import gc
+from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..flowsim.network import FlowNet
 from ..flowsim.simulator import Flow
-from ..netsim.channel import Channel, ChannelEnd
-from ..netsim.events import EventLoop
 
 __all__ = ["PacketRegion", "ZoomFlow"]
 
 LinkId = Tuple
 
 
+class _Hop:
+    """One directed link: when its line frees up, and the latest
+    arrival already booked (the FIFO clamp)."""
+
+    __slots__ = ("bandwidth_bps", "background_bps", "busy_until", "last_arrival")
+
+    def __init__(self, bandwidth_bps: float) -> None:
+        self.bandwidth_bps = bandwidth_bps
+        self.background_bps = 0.0
+        self.busy_until = 0.0
+        self.last_arrival = 0.0
+
+
 class _Frame:
-    """One MTU-sized frame of a promoted flow, with its captured chain."""
+    """One MTU-sized frame of a promoted flow, with its captured chain;
+    ``idx`` is the hop it is on (-1 before the first).  A frame that
+    clears its last hop is reloaded as its flow's next one."""
 
     __slots__ = ("zoom", "bits", "hops", "idx")
 
-    def __init__(self, zoom: "ZoomFlow", bits: float, hops: List[ChannelEnd]) -> None:
+    def __init__(self, zoom: "ZoomFlow") -> None:
         self.zoom = zoom
-        self.bits = bits
-        self.hops = hops
-        self.idx = 0
 
 
 class ZoomFlow:
@@ -65,11 +80,11 @@ class ZoomFlow:
         "done",
     )
 
-    def __init__(self, flow: Flow, chain: List[ChannelEnd]) -> None:
+    def __init__(self, flow: Flow, chain: List[_Hop]) -> None:
         self.flow = flow
-        #: Sender ends of the channels along the current route.  Frames
-        #: capture the list object at injection; a reroute installs a
-        #: *new* list, leaving in-flight frames on their old path.
+        #: Hops along the current route.  Frames capture the list
+        #: object at injection; a reroute installs a *new* list,
+        #: leaving in-flight frames on their old path.
         self.chain = chain
         self.inflight = 0
         self.remaining_inject = flow.remaining_bits
@@ -80,15 +95,31 @@ class ZoomFlow:
 
 
 class _Sink:
-    """The single receive endpoint behind every region channel."""
+    """The receive endpoint behind every chain's final hop."""
 
     __slots__ = ("region",)
 
     def __init__(self, region: "PacketRegion") -> None:
         self.region = region
 
-    def receive(self, _port: int, frame: _Frame) -> None:
-        self.region._on_hop(frame)
+    def receive(self, frame: _Frame, now: float) -> Optional[_Frame]:
+        """Account a frame that cleared its last hop at ``now``; return
+        it reloaded as the flow's next frame, or None."""
+        region = self.region
+        zoom = frame.zoom
+        zoom.inflight -= 1
+        zoom.delivered_epoch += frame.bits
+        region.frames_delivered += 1
+        flow = zoom.flow
+        remaining = flow.remaining_bits - frame.bits
+        flow.remaining_bits = remaining if remaining > 0.0 else 0.0
+        if zoom.remaining_inject > 0 and not zoom.stalled:
+            return region._load(zoom, frame)
+        if zoom.inflight == 0 and zoom.remaining_inject <= 0 and not zoom.done:
+            zoom.done = True
+            flow.remaining_bits = 0.0
+            region.finished.append((zoom, now))
+        return None
 
 
 class PacketRegion:
@@ -103,12 +134,18 @@ class PacketRegion:
         window: int = 32,
     ) -> None:
         self.net = net
-        self.loop = EventLoop()
+        self.now = 0.0
         self.latency_s = latency_s
         self.mtu_bits = float(mtu_bytes * 8)
         self.window = window
         self._sink = _Sink(self)
-        self._channels: Dict[LinkId, Channel] = {}
+        #: Materialised hops by directed link (the only links shaped).
+        self.hops: Dict[LinkId, _Hop] = {}
+        self._shaped: List[_Hop] = []
+        #: Frames in flight; ``seq`` breaks arrival ties in push order.
+        self._heap: List[Tuple[float, int, _Frame]] = []
+        self._seq = 0
+        self.events_run = 0
         self.zooms: List[ZoomFlow] = []
         #: (zoom, finish time) pairs awaiting engine harvest.  Finish
         #: times are packet-measured (mid-epoch), which is the fidelity
@@ -119,33 +156,28 @@ class PacketRegion:
 
     # ------------------------------------------------------------------
 
-    def channel_for(self, link: LinkId) -> Channel:
-        channel = self._channels.get(link)
-        if channel is None:
-            channel = Channel(
-                self.loop,
-                bandwidth_bps=self.net.capacities[link],
-                latency_s=self.latency_s,
-            )
-            # Only the receive side needs a device; the region never
-            # fails these channels (failures live in the FlowNet and
-            # surface as reroutes/stalls at the next max-min epoch).
-            channel.ends[1].attach(self._sink, 0)
-            self._channels[link] = channel
-        return channel
+    def hop_for(self, link: LinkId) -> _Hop:
+        hop = self.hops.get(link)
+        if hop is None:
+            hop = self.hops[link] = _Hop(self.net.capacities[link])
+        return hop
 
-    def _chain_for(self, links: Sequence[LinkId]) -> List[ChannelEnd]:
-        return [self.channel_for(link).ends[0] for link in links]
+    def _chain_for(self, links: Sequence[LinkId]) -> List[_Hop]:
+        return [self.hop_for(link) for link in links]
+
+    def next_event_time(self) -> Optional[float]:
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
-    # flow lifecycle (driven by the engine; loop.now == engine.now here)
+    # flow lifecycle (driven by the engine; self.now == engine.now here)
 
     def start_flow(self, flow: Flow, links: Sequence[LinkId]) -> ZoomFlow:
         zoom = ZoomFlow(flow, self._chain_for(links))
         self.zooms.append(zoom)
         if zoom.remaining_inject <= 0:
             zoom.done = True
-            self.finished.append((zoom, self.loop.now))
+            self.finished.append((zoom, self.now))
         else:
             self._pump(zoom)
         return zoom
@@ -167,60 +199,132 @@ class PacketRegion:
             and zoom.remaining_inject > 0
             and not zoom.stalled
         ):
-            self._inject_one(zoom)
+            self._send_first(self._load(zoom, _Frame(zoom)))
 
-    def _inject_one(self, zoom: ZoomFlow) -> None:
+    def _load(self, zoom: ZoomFlow, frame: _Frame) -> _Frame:
+        """Cut the zoom's next frame into ``frame``, before its first hop."""
         bits = self.mtu_bits
         if bits > zoom.remaining_inject:
             bits = zoom.remaining_inject
         zoom.remaining_inject -= bits
         zoom.inflight += 1
-        frame = _Frame(zoom, bits, zoom.chain)
-        frame.hops[0].transmit(frame, bits)
+        frame.bits = bits
+        frame.hops = zoom.chain
+        frame.idx = -1
+        return frame
 
-    def _on_hop(self, frame: _Frame) -> None:
-        frame.idx += 1
-        if frame.idx < len(frame.hops):
-            frame.hops[frame.idx].transmit(frame, frame.bits)
-            return
-        zoom = frame.zoom
-        zoom.inflight -= 1
-        zoom.delivered_epoch += frame.bits
-        self.frames_delivered += 1
-        flow = zoom.flow
-        remaining = flow.remaining_bits - frame.bits
-        flow.remaining_bits = remaining if remaining > 0.0 else 0.0
-        if zoom.remaining_inject > 0 and not zoom.stalled:
-            self._inject_one(zoom)
-        elif zoom.inflight == 0 and zoom.remaining_inject <= 0 and not zoom.done:
-            zoom.done = True
-            flow.remaining_bits = 0.0
-            self.finished.append((zoom, self.loop.now))
+    def _send_first(self, frame: _Frame) -> None:
+        """Put a fresh frame on its first hop at the region clock: the
+        forwarding step of :meth:`_drain`, which inlines it."""
+        now = self.now
+        frame.idx = 0
+        hop = frame.hops[0]
+        start = hop.busy_until
+        if start < now:
+            start = now
+        bandwidth = hop.bandwidth_bps
+        bg = hop.background_bps
+        if bg:
+            bandwidth -= bg
+            if bandwidth <= 0.0:
+                # Saturated by background: never fully starve the
+                # foreground, or a promoted flow could deadlock.
+                bandwidth = hop.bandwidth_bps * 1e-6
+        free = start + frame.bits / bandwidth
+        hop.busy_until = free
+        arrival = free + self.latency_s
+        if arrival < hop.last_arrival:
+            arrival = hop.last_arrival
+        else:
+            hop.last_arrival = arrival
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (arrival, seq, frame))
 
     # ------------------------------------------------------------------
     # boundary contract (engine side)
 
     def advance_to(self, t: float) -> None:
-        """Run the packet loop exactly to the fluid clock."""
-        if t > self.loop.now:
-            self.loop.run(until=t)
+        """Handle every hop arriving at or before ``t``, then set the
+        clock to ``t``.  Cyclic gc is paused while draining, as in
+        ``EventLoop.run``: the per-hop garbage dies by refcount."""
+        if t <= self.now:
+            return
+        heap = self._heap
+        if heap and heap[0][0] <= t:
+            gc_was_enabled = gc.isenabled()
+            if gc_was_enabled:
+                gc.disable()
+            try:
+                self._drain(heap, t)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+        self.now = t
+
+    def _drain(self, heap: List[Tuple[float, int, _Frame]], t: float) -> None:
+        # One pop per hop, then one step: forward the frame onto its
+        # next hop (_send_first, inlined), or hand it to the sink, which
+        # may return it reloaded for its first hop.  Nothing else pushes
+        # meanwhile, so the sequence and event counters live in locals.
+        receive = self._sink.receive
+        latency = self.latency_s
+        seq = self._seq
+        executed = 0
+        try:
+            while heap and heap[0][0] <= t:
+                now, _seq, frame = heappop(heap)
+                executed += 1
+                idx = frame.idx + 1
+                hops = frame.hops
+                if idx == len(hops):
+                    frame = receive(frame, now)
+                    if frame is None:
+                        continue
+                    idx = 0
+                    hops = frame.hops
+                frame.idx = idx
+                hop = hops[idx]
+                start = hop.busy_until
+                if start < now:
+                    start = now
+                bandwidth = hop.bandwidth_bps
+                bg = hop.background_bps
+                if bg:
+                    bandwidth -= bg
+                    if bandwidth <= 0.0:
+                        bandwidth = hop.bandwidth_bps * 1e-6
+                free = start + frame.bits / bandwidth
+                hop.busy_until = free
+                arrival = free + latency
+                if arrival < hop.last_arrival:
+                    arrival = hop.last_arrival
+                else:
+                    hop.last_arrival = arrival
+                heappush(heap, (arrival, seq, frame))
+                seq += 1
+        finally:
+            self._seq = seq
+            self.events_run += executed
 
     def set_backgrounds(self, loads_bps: Mapping[LinkId, float]) -> None:
-        """Project the fluid-only allocation onto the region channels.
+        """Project the fluid-only allocation onto the region hops.
 
-        Every materialised channel gets the current fluid load of its
-        link as shaped background; links the fluid side no longer uses
-        are reset to zero.  Max-min feasibility guarantees background +
+        Every materialised hop gets the current fluid load of its link
+        as shaped background; links the fluid side no longer uses are
+        reset to zero.  Max-min feasibility guarantees background +
         promoted share <= capacity, so the residual a promoted flow
         serialises into is at least its fluid-fair share.
         """
-        applied = 0
-        for link, channel in self._channels.items():
-            bg = loads_bps.get(link, 0.0)
-            channel.ends[0].background_bps = bg
-            if bg:
-                applied += 1
-        self.background_links = applied
+        for hop in self._shaped:
+            hop.background_bps = 0.0
+        self._shaped = []
+        for link, bg in loads_bps.items():
+            hop = self.hops.get(link)
+            if hop is not None and bg:
+                hop.background_bps = bg
+                self._shaped.append(hop)
+        self.background_links = len(self._shaped)
 
     def harvest(self) -> Tuple[Dict[int, float], List[Tuple[ZoomFlow, float]]]:
         """Collect per-flow bits delivered since the last harvest, and
@@ -241,10 +345,10 @@ class PacketRegion:
 
     def stats(self) -> Dict[str, float]:
         return {
-            "clock_s": self.loop.now,
-            "events_run": self.loop.events_run,
+            "clock_s": self.now,
+            "events_run": self.events_run,
             "frames_delivered": self.frames_delivered,
-            "channels": len(self._channels),
+            "hops": len(self.hops),
             "live_flows": len(self.zooms),
             "background_links": self.background_links,
         }

@@ -210,5 +210,24 @@ class TestControllerHardening:
         fabric.network.run_until_idle()
         assert ctl.view.has_link("S2", 3, "S5", 2)
 
+    @pytest.mark.parametrize("seed", [158990, 40299])
+    def test_reprobe_without_route_waits_for_the_view_to_heal(self, seed):
+        """Link-up news that lands while the controller has no route to
+        the port in its view (its own uplinks flapped, alarms held back
+        by the 1 s suppression) used to give up after the timed
+        retries: these inputs lost edge1_1's uplinks for good, and
+        27 host pairs stayed unreachable at quiesce."""
+        topology = fat_tree(4)
+        controllers = tuple(sorted(topology.hosts)[:3])
+        schedule = FaultSchedule.random(
+            topology, seed=seed, n_faults=22, protect_hosts=controllers
+        )
+        fabric = build_chaos_fabric(
+            topology, seed=seed, controller_hosts=controllers
+        )
+        report = ChaosRunner(fabric, schedule, traffic_seed=seed).run()
+        assert not report.violations
+        assert report.failed_pairs == []
+
     def test_binding_dead_constant_exported(self):
         assert BINDING_DEAD == -1

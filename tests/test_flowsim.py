@@ -127,6 +127,90 @@ class TestMaxMin:
             max_min_rates({}, {"L": 0.0})
 
 
+def _reference_max_min(flow_routes, capacities, demands):
+    """Progressive filling as first written: every capacity tracked,
+    every active row scanned for a demand cap on every level."""
+    rates = {}
+    active = {}
+    for flow, route in flow_routes.items():
+        crossings = {}
+        for link in route:
+            crossings[link] = crossings.get(link, 0) + 1
+        active[flow] = crossings
+    residual = {link: float(cap) for link, cap in capacities.items()}
+    users = {link: {} for link in capacities}
+    weight = {link: 0 for link in capacities}
+    for flow, crossings in active.items():
+        for link, mult in crossings.items():
+            users[link][flow] = mult
+            weight[link] += mult
+
+    def freeze(flow, rate):
+        rates[flow] = rate
+        for link, mult in active[flow].items():
+            left = residual[link] - rate * mult
+            residual[link] = left if left >= 0.0 else 0.0
+            del users[link][flow]
+            weight[link] -= mult
+        del active[flow]
+
+    for flow in list(active):
+        if not active[flow]:
+            freeze(flow, float(demands.get(flow, math.inf)))
+    while active:
+        share = min(
+            (residual[l] / weight[l] for l, on in users.items() if on),
+            default=math.inf,
+        )
+        capped = [f for f in active if demands.get(f, math.inf) <= share + 1e-15]
+        if capped:
+            for flow in capped:
+                freeze(flow, float(demands[flow]))
+            continue
+        froze_any = False
+        for link in list(users):
+            on = users[link]
+            if on and residual[link] / weight[link] <= share + 1e-15:
+                for flow in list(on):
+                    freeze(flow, share)
+                    froze_any = True
+        if not froze_any:
+            for flow in list(active):
+                freeze(flow, share)
+    return rates
+
+
+class TestMaxMinMatchesReference:
+    """The solver tracks only routed links and scans only demand-capped
+    rows; results must equal the full scan bit for bit, in order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        caps=st.lists(st.sampled_from([1.0, 2.0, 3.3, 10.0]), min_size=1, max_size=8),
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 7), max_size=4),
+                st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5])),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_same_rates_as_full_scan(self, caps, rows):
+        capacities = {f"L{i}": c for i, c in enumerate(caps)}
+        routes, demands = {}, {}
+        for fid, (route, demand) in enumerate(rows):
+            routes[fid] = [f"L{i % len(caps)}" for i in route]
+            if demand is not None:
+                demands[fid] = demand
+        got = max_min_rates(routes, capacities, demands)
+        want = _reference_max_min(routes, capacities, demands)
+        assert list(got.items()) == list(want.items())
+
+    def test_unrouted_bad_capacity_still_rejected(self):
+        with pytest.raises(FairnessError):
+            max_min_rates({"f": ["A"]}, {"A": 1.0, "B": 0.0})
+
+
 class TestFlowNet:
     def test_route_links_cover_every_hop(self):
         topo = leaf_spine(2, 2, 2, num_ports=16)

@@ -1,18 +1,20 @@
-"""Hybrid-fidelity dataplane tests: ROI selection, channel shaping,
+"""Hybrid-fidelity dataplane tests: ROI selection, region hop shaping,
 boundary consistency, failure handling, fabric/obs integration."""
+
+import hashlib
 
 import pytest
 
 from repro.core.fabric import DumbNetFabric
 from repro.flowsim import (
+    Flow,
     FlowNet,
     FluidSimulator,
     RebalancingKPathPolicy,
     SingleShortestPolicy,
 )
 from repro.hybrid import HybridEngine, RegionOfInterest, build_engine
-from repro.netsim.channel import Channel
-from repro.netsim.events import EventLoop
+from repro.hybrid.packet_region import PacketRegion
 from repro.topology import leaf_spine, line
 
 
@@ -59,49 +61,37 @@ class TestRegionOfInterest:
             RegionOfInterest.of_links("leaf0")
 
 
-class _RecvSink:
-    def __init__(self):
-        self.got = []
+class TestHopBackgroundShaping:
+    """A region hop serialises frames into its bandwidth minus the
+    shaped fluid background."""
 
-    def receive(self, port, packet):
-        self.got.append(packet)
+    LINK = ("htx", "hL0_0")
 
-
-class TestChannelBackgroundShaping:
-    def _channel(self, bandwidth=1e9):
-        loop = EventLoop()
-        channel = Channel(loop, bandwidth_bps=bandwidth, latency_s=0.0)
-        sink = _RecvSink()
-        channel.ends[1].attach(sink, 0)
-        return loop, channel, sink
+    def _send(self, frame_bits, background=0.0):
+        net = FlowNet(line(2, hosts_per_switch=1), link_bps=1e9, host_bps=1e9)
+        region = PacketRegion(net, latency_s=0.0, mtu_bytes=int(frame_bits) // 8)
+        hop = region.hop_for(self.LINK)
+        region.set_backgrounds({self.LINK: background})
+        flow = Flow(1, "hL0_0", "hL1_0", frame_bits, 0.0, remaining_bits=frame_bits)
+        region.start_flow(flow, [self.LINK])
+        return region, hop
 
     def test_zero_background_identical_serialization(self):
-        loop, channel, sink = self._channel()
-        channel.ends[0].transmit("p", 1e6)
-        assert channel.ends[0].busy_until == 1e6 / 1e9
+        _region, hop = self._send(1e6)
+        assert hop.busy_until == 1e6 / 1e9
 
     def test_background_steals_bandwidth(self):
-        loop, channel, sink = self._channel()
-        channel.ends[0].background_bps = 5e8
-        channel.ends[0].transmit("p", 1e6)
+        region, hop = self._send(1e6, background=5e8)
         # Residual 0.5 Gbps -> twice the serialization time.
-        assert channel.ends[0].busy_until == pytest.approx(2e-3)
-        loop.run()
-        assert sink.got == ["p"]
+        assert hop.busy_until == pytest.approx(2e-3)
+        region.advance_to(1.0)
+        _delivered, finished = region.harvest()
+        assert [(zoom.flow.fid, t) for zoom, t in finished] == [(1, hop.busy_until)]
 
     def test_saturated_background_never_starves(self):
-        loop, channel, sink = self._channel()
-        channel.ends[0].background_bps = 2e9  # over capacity
-        channel.ends[0].transmit("p", 1e3)
+        _region, hop = self._send(1e3, background=2e9)  # over capacity
         # Clamped to bandwidth * 1e-6, not zero or negative.
-        assert channel.ends[0].busy_until == pytest.approx(1e3 / (1e9 * 1e-6))
-
-    def test_background_applies_on_slow_path_too(self):
-        loop, channel, sink = self._channel()
-        channel.extra_latency_s = 1e-3  # forces the slow path
-        channel.ends[0].background_bps = 5e8
-        channel.ends[0].transmit("p", 1e6)
-        assert channel.ends[0].busy_until == pytest.approx(2e-3)
+        assert hop.busy_until == pytest.approx(1e3 / (1e9 * 1e-6))
 
 
 def _fig9ish(sim_cls_or_engine, roi=None, hosts=6, size=1e8, failures=()):
@@ -120,6 +110,52 @@ def _fig9ish(sim_cls_or_engine, roi=None, hosts=6, size=1e8, failures=()):
         sim.at(time_s, lambda a=action_args: getattr(net, a[0])(*a[1:]))
     sim.run()
     return sim
+
+
+GOLDEN_FINISH_DIGEST = (
+    "0575e3634ee018f04b71fd791795ca7c7c30efc1d810fe1510089adae6bf6d31"
+)
+
+
+def _golden_run():
+    """A small hybrid run with a shared promoted uplink and a link
+    failure that re-chains the promoted flows mid-flight."""
+    topo = leaf_spine(spines=2, leaves=2, hosts_per_leaf=4, num_ports=16)
+    net = FlowNet(topo, link_bps=1e9, host_bps=1e9)
+    sim = HybridEngine(
+        net, RebalancingKPathPolicy(k=2),
+        roi=RegionOfInterest.of_links(("leaf0", 1)),
+    )
+    for i in range(4):
+        sim.add_flow(f"h0_{i}", f"h1_{i}", 2e7, start_s=i * 2e-3, tag="up")
+        sim.add_flow(
+            f"h1_{i}", f"h0_{(i + 1) % 4}", 1e7, start_s=1e-3 + i * 1e-3,
+            tag="down",
+        )
+    sim.at(0.01, lambda: net.fail_link("leaf1", 1, "spine0", 2))
+    sim.at(0.03, lambda: net.restore_link("leaf1", 1, "spine0", 2))
+    sim.run()
+    return sim
+
+
+class TestGoldenHybridDigest:
+    """Pins the hybrid engine's results bit for bit: any change to the
+    packet region's arithmetic or event order moves these values."""
+
+    def test_golden_digest(self):
+        sim = _golden_run()
+        assert sim.promoted_total == 2
+        assert all(f.done for f in sim.flows)
+        stats = sim.region.stats()
+        assert stats["events_run"] == 13800
+        assert stats["frames_delivered"] == 3450
+        assert sim.consistency_max_rel_err.hex() == "0x1.758e219652bdcp+0"
+        finishes = "".join(
+            f"{f.fid}:{f.finished_at.hex()};"
+            for f in sorted(sim.flows, key=lambda f: f.fid)
+        )
+        digest = hashlib.sha256(finishes.encode()).hexdigest()
+        assert digest == GOLDEN_FINISH_DIGEST
 
 
 class TestEmptyRoiExactness:
