@@ -30,8 +30,14 @@ def publish_json(name: str, payload: Dict[str, Any],
 
     Default location is ``benchmarks/results/<name>.json``; pass ``path``
     for blobs that live elsewhere (e.g. the repo-root BENCH_*.json files
-    that CI checks for regressions).
+    that CI checks for regressions).  A smoke payload never replaces a
+    repo-root BENCH_*.json recorded in full mode: it goes to the default
+    location instead, so the committed full-size numbers survive a CI
+    or local ``--smoke`` run.
     """
+    if path is not None and payload.get("mode") == "smoke" and _is_full_bench(path):
+        print(f"[{name}] kept full-mode {path}; smoke result goes to results/")
+        path = None
     if path is None:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"{name}.json")
@@ -40,3 +46,16 @@ def publish_json(name: str, payload: Dict[str, Any],
         handle.write("\n")
     print(f"[{name}] wrote {path}")
     return path
+
+
+def _is_full_bench(path: str) -> bool:
+    """Whether ``path`` is a repo-root BENCH_*.json holding a full run."""
+    path = os.path.abspath(path)
+    base = os.path.basename(path)
+    if os.path.dirname(path) != REPO_ROOT or not base.startswith("BENCH_"):
+        return False
+    try:
+        with open(path) as handle:
+            return json.load(handle).get("mode") == "full"
+    except (OSError, ValueError, AttributeError):
+        return False

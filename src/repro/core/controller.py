@@ -522,7 +522,9 @@ class Controller(HostAgent):
     # verify the newly added links and switches")
 
     def _start_reprobe(self, switch: str, port: int, attempt: int = 0) -> None:
-        if self.view is None or not self.view.has_switch(switch):
+        # A powered-off controller is inert: its retry and re-arm timers
+        # still fire, but must not probe from a dark NIC.
+        if not self.powered or self.view is None or not self.view.has_switch(switch):
             return
         active = self._reprobes.get((switch, port))
         if active is not None:
@@ -565,6 +567,9 @@ class Controller(HostAgent):
         self.loop.schedule(REPROBE_SETTLE_S, self._finish_reprobe_stage1, switch, port)
 
     def _finish_reprobe_stage1(self, switch: str, port: int) -> None:
+        if not self.powered:
+            self._reprobes.pop((switch, port), None)  # died with its host
+            return
         session = self._reprobes.get((switch, port))
         if session is None or self.view is None:
             return
@@ -595,6 +600,9 @@ class Controller(HostAgent):
         self.loop.schedule(REPROBE_SETTLE_S, self._finish_reprobe_stage2, switch, port)
 
     def _finish_reprobe_stage2(self, switch: str, port: int) -> None:
+        if not self.powered:
+            self._reprobes.pop((switch, port), None)  # died with its host
+            return
         session = self._reprobes.get((switch, port))
         if session is None or self.view is None:
             return

@@ -276,22 +276,30 @@ class HostAgent(Device):
     # ------------------------------------------------------------------
     # probing interface (used by EmulatedProbeTransport and reprobes)
 
-    def send_probe(self, spec: ProbeSpec, delay_s: float = 0.0) -> int:
-        """Send one probing message; optionally deferred by ``delay_s``.
+    def send_probe(self, spec: ProbeSpec) -> int:
+        """Send one probing message now; returns its nonce."""
+        return self.send_probes((spec,), 0.0)[0]
 
-        Deferred sends model the prober's CPU crafting probes serially:
-        the discovery transport spaces a round's probes by the host
-        processing delay, which is what makes emulated discovery time
-        proportional to probe count (Figure 8).
+    def send_probes(self, specs: Sequence[ProbeSpec], spacing: float) -> List[int]:
+        """Send probes ``spacing`` seconds apart, the first one now.
+
+        The spacing models the prober's CPU crafting probes serially,
+        which is what makes emulated discovery time proportional to
+        probe count (Figure 8).  The deferred sends are one
+        :meth:`EventLoop.call_series`: only the next one sits in the heap.
         """
-        nonce = next_nonce()
-        self._outstanding_probes[nonce] = spec
-        probe = ProbeMessage(nonce=nonce, origin=self.name, reply_tags=spec.reply_tags)
-        if delay_s > 0:
-            self.loop.schedule(delay_s, self.send_tagged, spec.tags, probe)
-        else:
-            self.send_tagged(spec.tags, probe)
-        return nonce
+        nonces = [next_nonce() for _ in specs]
+        sends = []
+        for nonce, spec in zip(nonces, specs):
+            self._outstanding_probes[nonce] = spec
+            probe = ProbeMessage(nonce=nonce, origin=self.name, reply_tags=spec.reply_tags)
+            sends.append((spec.tags, probe))
+        for args in sends if spacing <= 0 else sends[:1]:
+            self.send_tagged(*args)
+        if spacing > 0:
+            delays = [i * spacing for i in range(1, len(sends))]
+            self.loop.call_series(delays, self.send_tagged, sends[1:])
+        return nonces
 
     def collect_probe(self, nonce: int) -> Optional[ProbeOutcome]:
         self._outstanding_probes.pop(nonce, None)
@@ -595,11 +603,7 @@ class EmulatedProbeTransport(ProbeTransport):
     def probe_round(self, specs: Sequence[ProbeSpec]) -> List[Optional[ProbeOutcome]]:
         # Probes leave back-to-back at the agent's processing rate: the
         # wire is parallel but the prober's CPU is not (Section 7.2.1).
-        spacing = self.agent.config.proc_delay_s
-        nonces = [
-            self.agent.send_probe(spec, delay_s=i * spacing)
-            for i, spec in enumerate(specs)
-        ]
+        nonces = self.agent.send_probes(specs, self.agent.config.proc_delay_s)
         self._sent += len(specs)
         self.network.run_until_idle()
         outcomes = [self.agent.collect_probe(nonce) for nonce in nonces]

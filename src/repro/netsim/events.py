@@ -18,6 +18,13 @@ order:
   device service queues): no handle object is allocated, the heap entry
   is a plain ``(time, seq, callback, args)`` tuple.
 
+:meth:`EventLoop.call_series` schedules n fire-and-forget calls at
+non-decreasing delays while keeping only the next one in the heap: it
+reserves n consecutive sequence numbers up front and pushes entry i+1,
+under the key n ``call_after`` calls would have given it, when entry i
+fires.  So the heap holds frames in flight and timers, not a probe
+round's queued sends, and the pop order is unchanged.
+
 Cancellation is lazy: a cancelled handle is only marked dead, and the
 heap skips it on pop.  So cancel-heavy workloads (protocol timers that
 are armed and disarmed millions of times) do not pay O(log n) heap
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["EventLoop", "EventHandle", "SimulationError", "COMPACT_MIN_DEAD"]
 
@@ -156,6 +163,54 @@ class EventLoop:
         self._seq = seq + 1
         heappush(self._heap, (time, seq, callback, args))
         self._live += 1
+
+    def call_series(
+        self,
+        delays: Sequence[float],
+        callback: Callable[..., None],
+        args_list: Sequence[Tuple[Any, ...]],
+    ) -> None:
+        """Run ``callback(*args_list[i])`` after ``delays[i]``, for each i.
+
+        Equivalent to ``len(delays)`` consecutive :meth:`call_after`
+        calls -- every entry gets the same ``(now + delays[i], seq)``
+        key those calls would -- but only the next entry of the series
+        sits in the heap: entry ``i + 1`` is pushed when entry ``i``
+        fires, just before its callback runs.  Delays must be
+        non-negative and non-decreasing, so entry ``i + 1``'s key is
+        larger than entry ``i``'s and pushing it late cannot change
+        the pop order.  :attr:`pending` counts the whole series as
+        live.  There is no handle: a series cannot be cancelled.
+        """
+        n = len(delays)
+        if len(args_list) != n:
+            raise SimulationError(
+                f"call_series needs one args tuple per delay ({n} delays, "
+                f"{len(args_list)} args)"
+            )
+        if not n:
+            return
+        previous = 0.0
+        for delay in delays:
+            if delay < previous:
+                raise SimulationError(
+                    f"call_series delays must be non-negative and "
+                    f"non-decreasing (got {delay} after {previous})"
+                )
+            previous = delay
+        base = self._seq
+        self._seq = base + n
+        self._live += n
+        now = self.now
+        heap = self._heap
+
+        def fire(i: int) -> None:
+            j = i + 1
+            if j < n:
+                heappush(heap, (now + delays[j], base + j, fire, (j,)))
+            callback(*args_list[i])
+
+        heappush(heap, (now + delays[0], base, fire, (0,)))
 
     # ------------------------------------------------------------------
 

@@ -229,5 +229,46 @@ class TestControllerHardening:
         assert not report.violations
         assert report.failed_pairs == []
 
+    def test_powered_off_controller_runs_no_reprobes(self, monkeypatch):
+        """A primary killed by a controller failover used to keep running
+        its reprobe retry timers: on this input the dead h0_0_0 retried
+        reprobes of agg1_0 port 4 and edge1_1 port 1 about 20 ms after
+        losing power, and parked both ports."""
+        from repro.core.replication import ReplicatedControlPlane
+
+        killed = []
+        fail_primary = ReplicatedControlPlane.fail_primary
+
+        def recording_fail_primary(plane):
+            dead = plane.primary
+            promoted = fail_primary(plane)
+            killed.append((dead, self._reprobe_state(dead)))
+            return promoted
+
+        monkeypatch.setattr(ReplicatedControlPlane, "fail_primary", recording_fail_primary)
+        seed = 158990
+        topology = fat_tree(4)
+        controllers = tuple(sorted(topology.hosts)[:3])
+        schedule = FaultSchedule.random(
+            topology, seed=seed, n_faults=22, protect_hosts=controllers
+        )
+        fabric = build_chaos_fabric(topology, seed=seed, controller_hosts=controllers)
+        report = ChaosRunner(fabric, schedule, traffic_seed=seed).run()
+        assert [dead.name for dead, _ in killed] == ["h0_0_0"]
+        dead, at_kill = killed[0]
+        assert not dead.powered
+        assert self._reprobe_state(dead) == at_kill
+        assert not report.violations
+        assert report.failed_pairs == []
+
+    @staticmethod
+    def _reprobe_state(controller):
+        return (
+            controller.reprobes_run,
+            controller.reprobes_retried,
+            sorted(controller._reprobes),
+            sorted(controller._parked_reprobes),
+        )
+
     def test_binding_dead_constant_exported(self):
         assert BINDING_DEAD == -1

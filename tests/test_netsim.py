@@ -1,5 +1,7 @@
 """Tests for the discrete-event emulator core."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -416,6 +418,136 @@ class TestLazyDeletion:
         assert fired == [1, 2, 3, 4, 5]
         assert all(h.cancelled for h in doomed)
         assert keep[0].cancelled  # fired handles read as spent
+
+
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 1e-4, 2e-4, 5e-4]),
+    st.floats(min_value=0.0, max_value=1e-3, allow_nan=False),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("series"), st.lists(_DELAYS, max_size=8), st.booleans()),
+        st.tuples(st.just("after"), _DELAYS, st.booleans()),
+        st.tuples(st.just("schedule"), _DELAYS),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=15)),
+        st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=2e-3)),
+    ),
+    max_size=30,
+)
+
+
+def _drive(ops, use_series):
+    """Apply ``ops`` to a fresh loop; series go through ``call_series``
+    or, for the reference, through one ``call_after`` per member."""
+    loop = EventLoop()
+    log = []
+    checkpoints = []
+    handles = []
+
+    def fire(label, nested):
+        log.append((label, loop.now))
+        if nested:
+            loop.call_after(0.0, fire, label + ("nested",), False)
+
+    for k, op in enumerate(ops):
+        kind = op[0]
+        if kind == "series":
+            delays = list(accumulate(op[1]))
+            args_list = [((k, i), op[2] and i % 2 == 0) for i in range(len(delays))]
+            if use_series:
+                loop.call_series(delays, fire, args_list)
+            else:
+                for delay, args in zip(delays, args_list):
+                    loop.call_after(delay, fire, *args)
+        elif kind == "after":
+            loop.call_after(op[1], fire, (k,), op[2])
+        elif kind == "schedule":
+            handles.append(loop.schedule(op[1], fire, (k,), False))
+        elif kind == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        else:
+            loop.run(until=loop.now + op[1])
+        checkpoints.append((loop.now, loop.pending, loop.events_run))
+    loop.run()
+    checkpoints.append((loop.now, loop.pending, loop.events_run))
+    return log, checkpoints
+
+
+class TestCallSeries:
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    def test_matches_consecutive_call_after(self, ops):
+        """A series fires in exactly the order and at exactly the times
+        of consecutive call_after calls, interleaved with other events,
+        cancels and run(until=...) stops; pending counts every member."""
+        assert _drive(ops, use_series=True) == _drive(ops, use_series=False)
+
+    def test_only_the_next_member_sits_in_the_heap(self):
+        loop = EventLoop()
+        fired = []
+        loop.call_series([0.0, 1.0, 1.0, 2.0], fired.append, [(i,) for i in range(4)])
+        assert len(loop._heap) == 1
+        assert loop.pending == 4
+        loop.run(until=1.5)
+        assert fired == [0, 1, 2] and loop.pending == 1 and len(loop._heap) == 1
+        loop.run()
+        assert fired == [0, 1, 2, 3] and loop.now == 2.0 and loop.pending == 0
+
+    def test_empty_series_is_a_no_op(self):
+        loop = EventLoop()
+        loop.call_series([], lambda: None, [])
+        assert loop.pending == 0 and not loop._heap
+
+    @pytest.mark.parametrize(
+        "delays", [[-1e-6], [0.0, 2.0, 1.0]], ids=["negative", "decreasing"]
+    )
+    def test_rejects_negative_or_decreasing_delays(self, delays):
+        loop = EventLoop()
+        with pytest.raises(SimulationError):
+            loop.call_series(delays, lambda _: None, [(i,) for i in range(len(delays))])
+        assert loop.pending == 0 and not loop._heap
+
+    def test_rejects_mismatched_args(self):
+        with pytest.raises(SimulationError):
+            EventLoop().call_series([0.0, 1.0], lambda _: None, [(0,)])
+
+    #: Largest heap seen during the seeded paper-testbed bootstrap.  Its
+    #: biggest probe round has 4,095 probes, which used to sit in the
+    #: heap all at once.
+    BOOTSTRAP_HEAP_PEAK = 26
+
+    def test_bootstrap_heap_bounded_by_frames_in_flight(self, monkeypatch):
+        from repro.core import host_agent
+        from repro.core.fabric import DumbNetFabric
+        from repro.topology import paper_testbed
+
+        fabric = DumbNetFabric(paper_testbed(), controller_host="h0_0", seed=1)
+        loop = fabric.loop
+        run_one_by_one = loop._run
+        peak = 0
+        rounds = []
+
+        def sampled_run(heap, until, max_events):
+            nonlocal peak
+            limit = float("inf") if max_events is None else max_events
+            total = 0
+            while total < limit and run_one_by_one(heap, until, 1):
+                total += 1
+                peak = max(peak, len(heap))
+            return total
+
+        loop._run = sampled_run
+        probe_round = host_agent.EmulatedProbeTransport.probe_round
+
+        def counting_round(transport, specs):
+            rounds.append(len(specs))
+            return probe_round(transport, specs)
+
+        monkeypatch.setattr(host_agent.EmulatedProbeTransport, "probe_round", counting_round)
+        fabric.bootstrap()
+        assert max(rounds) == 4095
+        assert peak <= self.BOOTSTRAP_HEAP_PEAK
 
 
 class TestChannelFifo:
